@@ -42,7 +42,7 @@
 //! serve_perf [--scale tiny|small] [--epochs N] [--requests N] [--k K] [--threads N] [--quick] [--out PATH]
 //! ```
 
-use cdrib_bench::Args;
+use cdrib_bench::{Args, RunStamp};
 use cdrib_core::{CdribConfig, CdribModel, InferenceModel};
 use cdrib_data::{build_preset, Direction, DomainId, EpochBatches, Scale, ScenarioKind};
 use cdrib_eval::EmbeddingScorer;
@@ -706,6 +706,7 @@ fn main() {
             "  \"k\": {k},\n",
             "  \"isa\": \"{isa}\",\n",
             "  \"threads\": {threads},\n",
+            "{stamp}",
             "  \"requests_per_batch\": {batch_requests},\n",
             "  \"candidates_per_request\": {candidates},\n",
             "  \"latency_us_p50\": {p50:.2},\n",
@@ -775,6 +776,7 @@ fn main() {
         k = k,
         isa = kernels::active_isa(),
         threads = kernels::parallelism(),
+        stamp = RunStamp::capture().json_fields(),
         batch_requests = requests.len(),
         candidates = candidates_per_request,
         p50 = p50,

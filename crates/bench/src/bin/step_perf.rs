@@ -22,7 +22,7 @@
 //! step_perf [--scale tiny|small] [--epochs N] [--warmup N] [--quick] [--out PATH]
 //! ```
 
-use cdrib_bench::Args;
+use cdrib_bench::{Args, RunStamp};
 use cdrib_core::{CdribConfig, CdribModel};
 use cdrib_data::{build_preset, Direction, EpochBatches, Scale, ScenarioKind};
 use cdrib_eval::{evaluate_both_directions, EvalConfig, EvalSplit};
@@ -349,6 +349,7 @@ fn main() {
             "  \"measured_epochs\": {epochs},\n",
             "  \"isa\": \"{isa}\",\n",
             "  \"threads\": {threads},\n",
+            "{stamp}",
             "  \"fresh_tape\": {{ \"epoch_ms_median\": {fresh_ms:.3}, \"allocs_per_epoch\": {fresh_allocs} }},\n",
             "  \"pooled_tape\": {{ \"epoch_ms_median\": {pooled_ms:.3}, \"allocs_per_epoch\": {pooled_allocs} }},\n",
             "  \"speedup_pooled_vs_fresh\": {speedup:.3},\n",
@@ -370,6 +371,7 @@ fn main() {
         epochs = epochs,
         isa = kernels::active_isa(),
         threads = kernels::parallelism(),
+        stamp = RunStamp::capture().json_fields(),
         fresh_ms = fresh.epoch_ms_median,
         fresh_allocs = fresh.allocs_per_epoch,
         pooled_ms = pooled.epoch_ms_median,

@@ -247,6 +247,60 @@ pub fn parse_methods(spec: Option<&str>) -> Vec<Method> {
     }
 }
 
+/// Where a benchmark ran: the source revision and the machine. `step_perf`
+/// and `serve_perf` stamp it into their `BENCH_*.json` next to the `isa` and
+/// `threads` they record, so a number can be traced to a commit and a CPU.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunStamp {
+    /// `git rev-parse HEAD` of the working directory, when it is a checkout.
+    pub git_rev: Option<String>,
+    /// The first `model name` of `/proc/cpuinfo`, when readable.
+    pub cpu_model: Option<String>,
+    /// Logical CPUs available to the process.
+    pub nproc: usize,
+}
+
+impl RunStamp {
+    /// Reads the stamp of this process's checkout and machine.
+    pub fn capture() -> Self {
+        let git_rev = std::process::Command::new("git")
+            .args(["rev-parse", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_string())
+            .filter(|rev| !rev.is_empty());
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        });
+        RunStamp {
+            git_rev,
+            cpu_model,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        }
+    }
+
+    /// The stamp as JSON object members, one per line at two-space indent,
+    /// each followed by a comma (absent values are `null`).
+    pub fn json_fields(&self) -> String {
+        let text = |v: &Option<String>| {
+            v.as_deref().map_or("null".to_string(), |s| {
+                format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+            })
+        };
+        format!(
+            "  \"git_rev\": {},\n  \"cpu_model\": {},\n  \"nproc\": {},\n",
+            text(&self.git_rev),
+            text(&self.cpu_model),
+            self.nproc
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +335,28 @@ mod tests {
         assert!(cfg.n_negatives >= 10);
         assert!(s.cdrib_config(1).epochs > 0);
         assert!(s.baseline_opts(1).epochs > 0);
+    }
+
+    #[test]
+    fn run_stamp_renders_json_members() {
+        let stamp = RunStamp {
+            git_rev: Some("abc123".into()),
+            cpu_model: Some("Some \"Quoted\" CPU".into()),
+            nproc: 2,
+        };
+        assert_eq!(
+            stamp.json_fields(),
+            "  \"git_rev\": \"abc123\",\n  \"cpu_model\": \"Some \\\"Quoted\\\" CPU\",\n  \"nproc\": 2,\n"
+        );
+        let bare = RunStamp {
+            git_rev: None,
+            cpu_model: None,
+            nproc: 1,
+        };
+        assert!(bare
+            .json_fields()
+            .starts_with("  \"git_rev\": null,\n  \"cpu_model\": null,"));
+        assert!(RunStamp::capture().nproc >= 1);
     }
 
     #[test]

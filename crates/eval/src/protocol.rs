@@ -8,6 +8,7 @@
 use crate::metrics::{rank_of_positive, MetricsAccumulator, RankingMetrics};
 use cdrib_data::{CdrScenario, DataError, Direction, EvalCase, NegativeSampler, Result};
 use cdrib_tensor::rng::component_rng;
+use cdrib_tensor::{kernels, pool};
 use serde::{Deserialize, Serialize};
 
 /// Which held-out split to evaluate.
@@ -56,6 +57,14 @@ pub trait ColdStartScorer: Sync {
     /// Scores the candidate items for the cold-start user into `out`
     /// (`out.len() == items.len()`).
     fn score_into(&self, direction: Direction, user: u32, items: &[u32], out: &mut [f32]);
+
+    /// Multiply-adds one score costs; sizes the work measure that decides
+    /// whether a block of cases fans out to the worker pool. Defaults to 1,
+    /// the least any scorer does, so an opaque scorer fans out only for
+    /// blocks that would pay off even at that cost.
+    fn flops_per_score(&self) -> usize {
+        1
+    }
 
     /// Allocating convenience wrapper around [`ColdStartScorer::score_into`].
     fn score_items(&self, direction: Direction, user: u32, items: &[u32]) -> Vec<f32> {
@@ -123,17 +132,15 @@ fn cases_of(scenario: &CdrScenario, direction: Direction, split: EvalSplit) -> &
 /// keep every scoring thread busy while staying cache-friendly.
 const BLOCK_CASES: usize = 128;
 
-/// Minimum number of scores in a block before the threaded driver engages;
-/// below this the thread-spawn overhead dominates the scoring work.
-#[cfg(feature = "parallel")]
-const PAR_MIN_SCORES: usize = 1 << 13;
-
 /// Scores one block of cases. Candidate lists live back-to-back in
 /// `candidates` with case `ci` spanning `offsets[ci]..offsets[ci + 1]`;
-/// scores land at the same positions in `scores`. Behind the `parallel`
-/// feature the cases are chunked over `std::thread::scope` threads (score
-/// ranges are disjoint, so no synchronisation is needed); results are
-/// identical to the serial path because per-case scoring is independent.
+/// scores land at the same positions in `scores`. Once the block's
+/// multiply-adds (scores x [`ColdStartScorer::flops_per_score`]) reach
+/// [`PAR_MIN_FLOPS`](cdrib_tensor::kernels::PAR_MIN_FLOPS), the cases are
+/// scored as tasks on the persistent worker [`pool`] (score ranges are
+/// disjoint, so no synchronisation is needed); below it they run inline.
+/// Results are identical either way because per-case scoring is
+/// independent.
 fn score_block<S: ColdStartScorer + ?Sized>(
     scorer: &S,
     direction: Direction,
@@ -144,43 +151,21 @@ fn score_block<S: ColdStartScorer + ?Sized>(
 ) {
     debug_assert_eq!(offsets.len(), cases.len() + 1);
     debug_assert_eq!(scores.len(), candidates.len());
-    #[cfg(feature = "parallel")]
-    {
-        let threads = cdrib_tensor::kernels::parallelism().min(cases.len());
-        if threads > 1 && scores.len() >= PAR_MIN_SCORES {
-            let per_thread = cases.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let mut rest = scores;
-                let mut c0 = 0usize;
-                while c0 < cases.len() {
-                    let c1 = (c0 + per_thread).min(cases.len());
-                    let (chunk, tail) = rest.split_at_mut(offsets[c1] - offsets[c0]);
-                    rest = tail;
-                    scope.spawn(move || {
-                        let base = offsets[c0];
-                        for ci in c0..c1 {
-                            scorer.score_into(
-                                direction,
-                                cases[ci].user,
-                                &candidates[offsets[ci]..offsets[ci + 1]],
-                                &mut chunk[offsets[ci] - base..offsets[ci + 1] - base],
-                            );
-                        }
-                    });
-                    c0 = c1;
-                }
-            });
-            return;
-        }
-    }
-    for (ci, case) in cases.iter().enumerate() {
+    let score = |ci: usize, out: &mut [f32]| {
         scorer.score_into(
             direction,
-            case.user,
+            cases[ci].user,
             &candidates[offsets[ci]..offsets[ci + 1]],
-            &mut scores[offsets[ci]..offsets[ci + 1]],
+            out,
         );
+    };
+    if scores.len() * scorer.flops_per_score() < kernels::PAR_MIN_FLOPS {
+        for ci in 0..cases.len() {
+            score(ci, &mut scores[offsets[ci]..offsets[ci + 1]]);
+        }
+        return;
     }
+    pool::for_each(pool::Ranges::new(scores, offsets), score);
 }
 
 /// Runs the ranking protocol for one direction and split.
@@ -482,6 +467,44 @@ mod tests {
         }
         let reference = acc.mean().unwrap();
         assert_eq!(out.metrics, reference);
+    }
+
+    /// A scorer whose reported cost puts every block above the fan-out
+    /// gate, so the protocol scores its cases as pool tasks.
+    struct Heavy<F>(F);
+
+    impl<F: Fn(Direction, u32, &[u32]) -> Vec<f32> + Sync> ColdStartScorer for Heavy<F> {
+        fn score_into(&self, direction: Direction, user: u32, items: &[u32], out: &mut [f32]) {
+            out.copy_from_slice(&(self.0)(direction, user, items));
+        }
+
+        fn flops_per_score(&self) -> usize {
+            kernels::PAR_MIN_FLOPS
+        }
+    }
+
+    #[test]
+    fn fanned_out_blocks_match_inline_blocks() {
+        let scenario = tiny_scenario();
+        let cfg = EvalConfig {
+            n_negatives: 40,
+            seed: 5,
+            max_cases: None,
+        };
+        let scorer = |_d: Direction, u: u32, items: &[u32]| -> Vec<f32> {
+            items.iter().map(|&i| ((i * 31 + u * 17) % 101) as f32).collect()
+        };
+        let jobs = cdrib_tensor::pool::fanned_out_jobs();
+        let inline = evaluate_cold_start(&scorer, &scenario, Direction::Y_TO_X, EvalSplit::Test, &cfg).unwrap();
+        let pooled = evaluate_cold_start(&Heavy(scorer), &scenario, Direction::Y_TO_X, EvalSplit::Test, &cfg).unwrap();
+        assert_eq!(inline.cases, pooled.cases);
+        assert_eq!(inline.metrics, pooled.metrics);
+        if cdrib_tensor::kernels::parallelism() > 1 {
+            assert!(
+                cdrib_tensor::pool::fanned_out_jobs() > jobs,
+                "heavy blocks must fan out"
+            );
+        }
     }
 
     #[test]

@@ -162,6 +162,10 @@ impl ColdStartScorer for EmbeddingScorer {
     fn score_into(&self, direction: Direction, user: u32, items: &[u32], out: &mut [f32]) {
         self.score_cross_into(direction.source, user, direction.target, items, out)
     }
+
+    fn flops_per_score(&self) -> usize {
+        self.x_items.cols()
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,8 @@
 //! affected entities, and the served embedding tables are patched **behind a
 //! copy-on-write epoch swap** — new values are written into a shadow copy of
 //! the affected tables, which then replaces the active table in one
-//! `mem::swap`, so a reader holding the engine (e.g. the `thread::scope`
-//! workers inside a batch) can never observe a torn, half-patched table.
+//! `mem::swap`, so a reader holding the engine (e.g. the pool workers
+//! inside a batch) can never observe a torn, half-patched table.
 //! Rust's `&mut` exclusivity already serialises updates against batches;
 //! the shadow swap keeps the guarantee structural rather than borrowing it
 //! from the checker, and gives each published table state an epoch number.

@@ -11,8 +11,11 @@
 //! Serving path per request: chunked full-catalogue scoring through the
 //! shared SIMD candidate kernels → sorted-merge filtering of already-seen
 //! items against the bipartite interaction graph → bounded binary-heap
-//! top-K selection. Warm requests are allocation-free; batches fan out over
-//! `std::thread::scope` workers behind the default-on `parallel` feature.
+//! top-K selection. Warm requests are allocation-free. A batch of at least
+//! [`PAR_MIN_FLOPS`](cdrib_tensor::kernels::PAR_MIN_FLOPS) multiply-adds
+//! (requests x candidates x dim) fans out to the persistent worker
+//! [`pool`](cdrib_tensor::pool) behind the default-on `parallel` feature;
+//! smaller batches run inline, where a hand-off costs more than it saves.
 //!
 //! ## Online updates
 //!

@@ -25,7 +25,13 @@
 //!   **round-robin** (one job per connection per pass, so a single
 //!   firehose connection cannot starve the others) into one
 //!   [`Recommender::recommend_batch_outcomes`] call of up to
-//!   [`ServerConfig::max_batch`] requests — the SIMD batch path amortises
+//!   [`ServerConfig::max_batch`] requests. That batch runs inline on the
+//!   coalescer unless it reaches
+//!   [`PAR_MIN_FLOPS`](cdrib_tensor::kernels::PAR_MIN_FLOPS) multiply-adds
+//!   (requests x candidates x dim), when it fans out to the persistent
+//!   worker [`pool`](cdrib_tensor::pool): a nominal-load batch of a few
+//!   requests is done before a parked worker would wake, a saturation
+//!   batch is not. The SIMD batch path amortises
 //!   per-request overhead across connections, which is where the ≥5×
 //!   saturation throughput over single-request-per-connection serving
 //!   comes from (`BENCH_serve.json`, `server` section). Deltas drained in
@@ -70,9 +76,9 @@ pub struct ServerConfig {
     /// Per-connection queue bound; a job arriving at a full queue is shed
     /// with a typed [`ServerMsg::Overloaded`] response.
     pub queue_capacity: usize,
-    /// Worker threads the coalesced batch fans out over
-    /// ([`Recommender::recommend_batch_with_workers`] semantics; clamped to
-    /// the engine's scratch count).
+    /// Most chunks a coalesced batch large enough to fan out is cut into
+    /// ([`Recommender::recommend_batch_outcomes`] semantics; clamped to the
+    /// engine's scratch count).
     pub workers: usize,
 }
 

@@ -18,8 +18,10 @@
 //! full-sort selection under the shared total order (pinned by the parity
 //! tests and the CI serve smoke job).
 //!
-//! Batches of concurrent requests fan out across `std::thread::scope`
-//! workers behind the `parallel` feature, one warm scratch per worker.
+//! Batches of concurrent requests large enough to pay for the hand-off fan
+//! out to the persistent worker pool (`cdrib_tensor::pool`) behind the
+//! `parallel` feature, one warm scratch per chunk; smaller batches run
+//! inline (see [`Recommender::recommend_batch_outcomes`]).
 
 use crate::delta::{DeltaOutcome, OnlineUpdater};
 use crate::error::{Result, ServeError};
@@ -33,6 +35,7 @@ use cdrib_graph::{BipartiteGraph, GraphDelta};
 use cdrib_tensor::artifact::{v2, ArtifactError};
 use cdrib_tensor::kernels::{self, QuantUser};
 use cdrib_tensor::mmap::{self, MappedRegion};
+use cdrib_tensor::pool;
 use cdrib_tensor::quant::quantize_user_into;
 use cdrib_tensor::{QuantizedTable, TableStorage, Tensor};
 use std::path::Path;
@@ -185,6 +188,8 @@ pub struct Recommender {
     core: ServeCore,
     /// One scratch per batch worker (a single entry without `parallel`).
     scratches: Vec<RequestScratch>,
+    /// Per-request outcomes of [`Recommender::recommend_batch`], reused.
+    batch_outcomes: Vec<Result<()>>,
     /// The frozen encoder plus shadow tables, when the engine was built for
     /// online updates ([`Recommender::from_inference_online`]).
     updater: Option<Box<OnlineUpdater>>,
@@ -516,6 +521,7 @@ impl Recommender {
         Recommender {
             core,
             scratches,
+            batch_outcomes: Vec::new(),
             updater: None,
             durable: None,
             epoch: 0,
@@ -1325,13 +1331,13 @@ impl Recommender {
         self.core.recommend_full_sort(request)
     }
 
-    /// Answers a batch of requests, one response per request (best first).
+    /// Answers a batch of requests, one response per request (best first),
+    /// and returns the first failed request's error (in request order).
     ///
-    /// Behind the `parallel` feature the batch is split into contiguous
-    /// chunks across `std::thread::scope` workers, each with its own warm
-    /// scratch; responses land in `responses[i]` for `requests[i]` either
-    /// way, and the serial build produces identical output. `responses` is
-    /// resized to match and its per-request `Vec`s are reused across
+    /// Runs like [`Recommender::recommend_batch_outcomes`] at the
+    /// process-wide parallelism; responses land in `responses[i]` for
+    /// `requests[i]` and are identical at every worker count. `responses`
+    /// is resized to match and its per-request `Vec`s are reused across
     /// batches.
     pub fn recommend_batch(&mut self, requests: &[Request], responses: &mut Vec<Vec<Recommendation>>) -> Result<()> {
         self.recommend_batch_with_workers(requests, responses, cdrib_tensor::kernels::parallelism())
@@ -1339,72 +1345,25 @@ impl Recommender {
 
     /// [`Recommender::recommend_batch`] with an explicit worker-count cap —
     /// the thread-scaling tuning hook `serve_perf --threads N` sweeps.
-    /// `workers` is clamped to the engine's warm scratch count (the
-    /// process-wide parallelism at construction) and to the batch size;
-    /// without the `parallel` feature the batch always runs serially.
-    /// Responses are identical at every worker count.
     pub fn recommend_batch_with_workers(
         &mut self,
         requests: &[Request],
         responses: &mut Vec<Vec<Recommendation>>,
         workers: usize,
     ) -> Result<()> {
-        if responses.len() != requests.len() {
-            responses.resize_with(requests.len(), Vec::new);
-        }
-        #[cfg(not(feature = "parallel"))]
-        let _ = workers;
-        #[cfg(feature = "parallel")]
-        {
-            let workers = workers.min(self.scratches.len()).min(requests.len());
-            if workers > 1 {
-                let per_worker = requests.len().div_ceil(workers);
-                let core = &self.core;
-                let mut outcomes: Vec<Result<()>> = Vec::with_capacity(workers);
-                outcomes.resize_with(workers, || Ok(()));
-                std::thread::scope(|scope| {
-                    let mut req_rest = requests;
-                    let mut resp_rest = &mut responses[..];
-                    let mut scratch_rest = &mut self.scratches[..];
-                    for outcome in outcomes.iter_mut() {
-                        if req_rest.is_empty() {
-                            break;
-                        }
-                        let take = per_worker.min(req_rest.len());
-                        let (req_chunk, remaining_req) = req_rest.split_at(take);
-                        req_rest = remaining_req;
-                        let (resp_chunk, remaining_resp) = resp_rest.split_at_mut(take);
-                        resp_rest = remaining_resp;
-                        let (scratch, remaining_scratch) =
-                            scratch_rest.split_first_mut().expect("one scratch per worker");
-                        scratch_rest = remaining_scratch;
-                        scope.spawn(move || {
-                            for (request, out) in req_chunk.iter().zip(resp_chunk.iter_mut()) {
-                                if let Err(e) = core.recommend_into(scratch, request, out) {
-                                    *outcome = Err(e);
-                                    return;
-                                }
-                            }
-                        });
-                    }
-                });
-                for outcome in outcomes {
-                    outcome?;
-                }
-                return Ok(());
-            }
-        }
-        let scratch = &mut self.scratches[0];
-        for (request, out) in requests.iter().zip(responses.iter_mut()) {
-            self.core.recommend_into(scratch, request, out)?;
-        }
-        Ok(())
+        let mut outcomes = std::mem::take(&mut self.batch_outcomes);
+        self.recommend_batch_outcomes(requests, responses, &mut outcomes, workers);
+        let first_error = outcomes
+            .iter_mut()
+            .find(|o| o.is_err())
+            .map(|o| std::mem::replace(o, Ok(())));
+        self.batch_outcomes = outcomes;
+        first_error.unwrap_or(Ok(()))
     }
 
     /// Answers a batch with one **typed outcome per request**: `outcomes[i]`
     /// is the result for `requests[i]`, and a rejected request leaves every
-    /// other response intact instead of poisoning the whole batch the way
-    /// [`Recommender::recommend_batch`]'s first-error contract does.
+    /// other response intact instead of failing the whole batch.
     ///
     /// This is the primitive the network front-end coalesces through: a
     /// cross-connection batch must not let one stale request — e.g. a user
@@ -1413,6 +1372,15 @@ impl Recommender {
     /// typed error (never a panic, never a silently truncated list) and a
     /// cleared response; the race regression test in this file pins the
     /// retry-after-delta contract.
+    ///
+    /// A batch of at least [`PAR_MIN_FLOPS`](cdrib_tensor::kernels::PAR_MIN_FLOPS)
+    /// multiply-adds (requests x candidates x dim) is cut into up to
+    /// `workers` contiguous chunks that run on the persistent worker
+    /// [`pool`], each with its own warm scratch; a smaller batch runs
+    /// inline on the calling thread, where a hand-off would cost more than
+    /// it saves. `workers` is clamped to the engine's warm scratch count
+    /// (the process-wide parallelism at construction) and to the batch
+    /// size. Responses are identical either way.
     ///
     /// `responses` and `outcomes` storage is reused across batches; warm
     /// error-free batches allocate nothing.
@@ -1428,53 +1396,36 @@ impl Recommender {
         }
         outcomes.clear();
         outcomes.resize_with(requests.len(), || Ok(()));
-        #[cfg(not(feature = "parallel"))]
-        let _ = workers;
-        #[cfg(feature = "parallel")]
-        {
-            let workers = workers.min(self.scratches.len()).min(requests.len());
-            if workers > 1 {
-                let per_worker = requests.len().div_ceil(workers);
-                let core = &self.core;
-                std::thread::scope(|scope| {
-                    let mut req_rest = requests;
-                    let mut resp_rest = &mut responses[..];
-                    let mut out_rest = &mut outcomes[..];
-                    let mut scratch_rest = &mut self.scratches[..];
-                    while !req_rest.is_empty() {
-                        let take = per_worker.min(req_rest.len());
-                        let (req_chunk, remaining_req) = req_rest.split_at(take);
-                        req_rest = remaining_req;
-                        let (resp_chunk, remaining_resp) = resp_rest.split_at_mut(take);
-                        resp_rest = remaining_resp;
-                        let (out_chunk, remaining_out) = out_rest.split_at_mut(take);
-                        out_rest = remaining_out;
-                        let (scratch, remaining_scratch) =
-                            scratch_rest.split_first_mut().expect("one scratch per worker");
-                        scratch_rest = remaining_scratch;
-                        scope.spawn(move || {
-                            for ((request, out), outcome) in
-                                req_chunk.iter().zip(resp_chunk.iter_mut()).zip(out_chunk.iter_mut())
-                            {
-                                if let Err(e) = core.recommend_into(scratch, request, out) {
-                                    // A failed request must not leak the
-                                    // previous batch's list through its slot.
-                                    out.clear();
-                                    *outcome = Err(e);
-                                }
-                            }
-                        });
-                    }
-                });
-                return;
+        let chunks = self.batch_chunks(requests, workers);
+        let per_chunk = requests.len().div_ceil(chunks);
+        let core = &self.core;
+        let parts = (
+            pool::Chunks::new(responses, per_chunk),
+            pool::Chunks::new(outcomes, per_chunk),
+            pool::Chunks::new(&mut self.scratches[..chunks], 1),
+        );
+        pool::for_each(parts, |ci, (responses, outcomes, scratch)| {
+            let requests = &requests[ci * per_chunk..ci * per_chunk + responses.len()];
+            for ((request, out), outcome) in requests.iter().zip(responses).zip(outcomes) {
+                if let Err(e) = core.recommend_into(&mut scratch[0], request, out) {
+                    // A failed request must not leak the previous batch's
+                    // list through its slot.
+                    out.clear();
+                    *outcome = Err(e);
+                }
             }
+        });
+    }
+
+    /// How many chunks a batch runs as: 1 (inline) below
+    /// [`PAR_MIN_FLOPS`](cdrib_tensor::kernels::PAR_MIN_FLOPS)
+    /// multiply-adds, else `workers` clamped to the warm scratches and the
+    /// batch size.
+    fn batch_chunks(&self, requests: &[Request], workers: usize) -> usize {
+        let candidates: usize = requests.iter().map(|r| self.catalogue_size(r.direction.target)).sum();
+        if candidates * self.core.scorer.x_items.cols() < cdrib_tensor::kernels::PAR_MIN_FLOPS {
+            return 1;
         }
-        let scratch = &mut self.scratches[0];
-        for ((request, out), outcome) in requests.iter().zip(responses.iter_mut()).zip(outcomes.iter_mut()) {
-            if let Err(e) = self.core.recommend_into(scratch, request, out) {
-                out.clear();
-                *outcome = Err(e);
-            }
-        }
+        workers.min(self.scratches.len()).min(requests.len()).max(1)
     }
 }

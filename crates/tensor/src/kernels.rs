@@ -21,9 +21,11 @@
 //!    capable hardware. On this class of machine the tiled AVX2/AVX-512 path
 //!    is 2.5–3.5x faster than the reference loop on one core.
 //! 3. **a row-chunked threaded driver** (the `parallel` feature, on by
-//!    default) — splits the *output rows* across `std::thread::scope`
-//!    threads once a problem exceeds [`PAR_MIN_FLOPS`]. Row chunks are
-//!    disjoint, so no synchronisation is needed.
+//!    default) — once a call reaches [`PAR_MIN_FLOPS`] multiply-adds, splits
+//!    the *output rows* into one chunk per thread and runs them on the
+//!    persistent worker [`pool`] (the caller runs chunk 0); smaller calls
+//!    run inline, where waking a parked worker would cost more than it
+//!    saves. Row chunks are disjoint, so no synchronisation is needed.
 //!
 //! ## Determinism
 //!
@@ -38,11 +40,25 @@
 // IS the seam's ABI — so the argument-count lint does not apply here.
 #![allow(clippy::too_many_arguments)]
 
+use crate::pool;
 use std::sync::OnceLock;
 
-/// Minimum number of scalar multiply-adds before the threaded driver splits
-/// work across cores; below this, thread spawn overhead dominates.
-pub const PAR_MIN_FLOPS: usize = 1 << 18;
+/// Minimum number of scalar multiply-adds before a call fans out to the
+/// worker [`pool`]; smaller calls run inline on the calling thread. The one
+/// gate for every fan-out: the kernels here, evaluation scoring blocks
+/// (scores x dim) and coalesced serve batches (requests x candidates x dim).
+///
+/// Derived from the pool's measured hand-off cost on a 2-vCPU AVX-512 KVM
+/// guest (Intel Xeon, 2 threads): an empty two-task job takes ~1.7 µs of
+/// the caller's time once the worker has parked, and a fanned-out kernel
+/// finishes ~4–8 µs later than half its serial time, the wake-up of the
+/// parked worker. Serial-vs-pooled pairs at the training shapes
+/// (`k = 64, n = 32`): at 2^21 multiply-adds the packed matmul (the fastest
+/// kernel, ~50 per ns, ~45 µs serial) runs in 0.88x its serial time,
+/// `transpose_matmul` 0.70x and `spmm` 0.56x; at 2^20 the matmul loses
+/// (1.22x), and candidate scoring at 2^17 already wins (0.76x). The gate
+/// sits where the fastest kernel still gains.
+pub const PAR_MIN_FLOPS: usize = 1 << 21;
 
 /// Dense micro-tile height (output rows per register tile).
 const MR: usize = 4;
@@ -169,21 +185,16 @@ pub fn parallelism() -> usize {
     }
 }
 
-/// Splits `out` into contiguous row chunks and runs `f(first_row, chunk)`
-/// for each chunk on its own scoped thread.
-#[cfg(feature = "parallel")]
+/// Splits `out` into `threads` contiguous row chunks and runs
+/// `f(first_row, chunk)` for each on the worker [`pool`].
 fn run_row_chunks<F>(out: &mut [f32], cols: usize, threads: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     debug_assert!(cols > 0 && !out.is_empty());
-    let rows = out.len() / cols;
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(ci * chunk_rows, chunk));
-        }
+    let chunk_rows = (out.len() / cols).div_ceil(threads);
+    pool::for_each(pool::Chunks::new(out, chunk_rows * cols), |ci, chunk| {
+        f(ci * chunk_rows, chunk)
     });
 }
 
@@ -349,7 +360,6 @@ pub fn matmul_tiled(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mu
         matmul_range(0, m, k, n, a, b, out);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_row_chunks(out, n, threads, |row0, chunk| {
         matmul_range(row0, row0 + chunk.len() / n, k, n, a, b, chunk);
     });
@@ -529,7 +539,6 @@ fn matmul_packed_avx512(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
             unsafe { matmul_packed_range_avx512(0, m, k, n, n_strips, packed, a, b, out) };
             return;
         }
-        #[cfg(feature = "parallel")]
         run_row_chunks(out, n, threads, |row0, chunk| {
             // SAFETY: `isa()` verified AVX-512 before routing here.
             unsafe { matmul_packed_range_avx512(row0, row0 + chunk.len() / n, k, n, n_strips, packed, a, b, chunk) };
@@ -644,7 +653,6 @@ pub fn matmul_transpose_b(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], ou
         matmul_transpose_b_range(0, m, k, n, a, b, out);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_row_chunks(out, n, threads, |row0, chunk| {
         matmul_transpose_b_range(row0, row0 + chunk.len() / n, k, n, a, b, chunk);
     });
@@ -801,7 +809,6 @@ pub fn transpose_matmul(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out:
         transpose_matmul_range(0, k, m, k, n, a, b, out);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_row_chunks(out, n, threads, |row0, chunk| {
         transpose_matmul_range(row0, row0 + chunk.len() / n, m, k, n, a, b, chunk);
     });
@@ -897,7 +904,6 @@ pub fn spmm(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
         spmm_range(0, s.rows, s, n, dense, out);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_row_chunks(out, n, threads, |row0, chunk| {
         spmm_range(row0, row0 + chunk.len() / n, s, n, dense, chunk);
     });
@@ -931,19 +937,25 @@ pub fn spmm_rows(s: CsrView<'_>, rows: &[u32], n: usize, dense: &[f32], out: &mu
 /// into `out` without materialising the transpose.
 pub fn spmm_transpose_serial(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
     debug_assert_eq!(dense.len(), s.rows * n);
-    debug_assert_eq!(out.len(), s.cols * n);
-    spmm_transpose_cols::<false>(s, n, dense, out, 0, n);
+    assert_eq!(out.len(), s.cols * n);
+    // SAFETY: `out` holds `s.cols * n` floats (asserted) and is borrowed
+    // exclusively.
+    unsafe { spmm_transpose_cols::<false>(s, n, dense, out.as_mut_ptr(), 0, n) }
 }
 
-/// Scatter pass restricted to dense/output columns `[j0, j1)`; `out_cols`
-/// holds those columns of every output row, contiguously per row
-/// (`(j1 - j0)`-wide rows).
+/// Scatter pass restricted to dense/output columns `[j0, j1)`: adds those
+/// columns of `S^T * D` into the row-major `(S.cols x n)` buffer at `out`.
+///
+/// # Safety
+///
+/// `out` points to `s.cols * n` writable floats, and nothing else accesses
+/// their columns `[j0, j1)` during the call.
 #[inline(always)]
-fn spmm_transpose_cols<const FUSE: bool>(
+unsafe fn spmm_transpose_cols<const FUSE: bool>(
     s: CsrView<'_>,
     n: usize,
     dense: &[f32],
-    out_cols: &mut [f32],
+    out: *mut f32,
     j0: usize,
     j1: usize,
 ) {
@@ -953,7 +965,12 @@ fn spmm_transpose_cols<const FUSE: bool>(
         for e in s.indptr[r]..s.indptr[r + 1] {
             let c = s.indices[e] as usize;
             let v = s.values[e];
-            let out_row = &mut out_cols[c * w..(c + 1) * w];
+            // The view's fields are public: bound the row this writes.
+            assert!(c < s.cols, "CSR column index {c} out of range");
+            // SAFETY: row `c` is below `s.cols` and `[j0, j1)` lies within
+            // `[0, n)`, so the slice is inside the caller's buffer, in the
+            // columns the caller reserved for this call.
+            let out_row = std::slice::from_raw_parts_mut(out.add(c * n + j0), w);
             for (o, &dv) in out_row.iter_mut().zip(d_row.iter()) {
                 if FUSE {
                     *o = v.mul_add(dv, *o);
@@ -967,24 +984,39 @@ fn spmm_transpose_cols<const FUSE: bool>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn spmm_transpose_avx2(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
-    spmm_transpose_cols::<true>(s, n, dense, out_cols, j0, j1)
+unsafe fn spmm_transpose_avx2(s: CsrView<'_>, n: usize, dense: &[f32], out: *mut f32, j0: usize, j1: usize) {
+    spmm_transpose_cols::<true>(s, n, dense, out, j0, j1)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx2,fma")]
-unsafe fn spmm_transpose_avx512(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
-    spmm_transpose_cols::<true>(s, n, dense, out_cols, j0, j1)
+unsafe fn spmm_transpose_avx512(s: CsrView<'_>, n: usize, dense: &[f32], out: *mut f32, j0: usize, j1: usize) {
+    spmm_transpose_cols::<true>(s, n, dense, out, j0, j1)
 }
 
-fn spmm_transpose_range(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut [f32], j0: usize, j1: usize) {
+/// [`spmm_transpose_cols`] under the ISA dispatch; same safety contract.
+unsafe fn spmm_transpose_range(s: CsrView<'_>, n: usize, dense: &[f32], out: *mut f32, j0: usize, j1: usize) {
     match isa() {
-        Isa::Portable => spmm_transpose_cols::<false>(s, n, dense, out_cols, j0, j1),
+        Isa::Portable => spmm_transpose_cols::<false>(s, n, dense, out, j0, j1),
         // SAFETY: `isa()` verified the required CPU features at runtime.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => unsafe { spmm_transpose_avx2(s, n, dense, out_cols, j0, j1) },
+        Isa::Avx2Fma => spmm_transpose_avx2(s, n, dense, out, j0, j1),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 | Isa::Avx512Vnni => unsafe { spmm_transpose_avx512(s, n, dense, out_cols, j0, j1) },
+        Isa::Avx512 | Isa::Avx512Vnni => spmm_transpose_avx512(s, n, dense, out, j0, j1),
+    }
+}
+
+/// The output buffer of [`spmm_transpose`]'s column bands.
+struct BandOut(*mut f32);
+
+// SAFETY: every band task writes only its own columns of the buffer.
+unsafe impl Sync for BandOut {}
+
+impl BandOut {
+    /// Read through `&self`, so a closure captures the `Sync` wrapper
+    /// rather than the bare pointer field.
+    fn ptr(&self) -> *mut f32 {
+        self.0
     }
 }
 
@@ -993,56 +1025,30 @@ fn spmm_transpose_range(s: CsrView<'_>, n: usize, dense: &[f32], out_cols: &mut 
 ///
 /// The scatter pattern writes rows of `out` indexed by *column* of `S`, so
 /// output rows are not independent across input rows. The threaded driver
-/// therefore splits the *dense columns* instead: each thread owns a disjoint
-/// column band, accumulates it in a private buffer (same row-major order as
-/// the reference, so per-element accumulation order is unchanged) and the
-/// bands are copied back after the join.
+/// therefore splits the *dense columns* instead: each pool task owns a
+/// disjoint column band and accumulates it in place, in the reference's
+/// row-major order, so per-element accumulation order is unchanged.
 pub fn spmm_transpose(s: CsrView<'_>, n: usize, dense: &[f32], out: &mut [f32]) {
     debug_assert_eq!(dense.len(), s.rows * n);
-    debug_assert_eq!(out.len(), s.cols * n);
+    assert_eq!(out.len(), s.cols * n);
     if s.cols == 0 || n == 0 {
         return;
     }
-    // Every band worker re-walks the full CSR structure, so duplicated
+    // Every band task re-walks the full CSR structure, so duplicated
     // sparse-index traffic grows with the thread count. Cap the split so
     // each band is at least MIN_BAND dense columns wide; narrow problems
     // (n below 2 * MIN_BAND) stay serial.
     const MIN_BAND: usize = 64;
     let threads = plan_threads(n, s.values.len() * n).min((n / MIN_BAND).max(1));
-    if threads == 1 {
-        spmm_transpose_range(s, n, dense, out, 0, n);
-        return;
-    }
-    #[cfg(feature = "parallel")]
-    {
-        let band = n.div_ceil(threads);
-        let bands: Vec<(usize, usize)> = (0..threads)
-            .map(|t| (t * band, ((t + 1) * band).min(n)))
-            .filter(|(j0, j1)| j1 > j0)
-            .collect();
-        let mut buffers: Vec<Vec<f32>> = Vec::with_capacity(bands.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = bands
-                .iter()
-                .map(|&(j0, j1)| {
-                    scope.spawn(move || {
-                        let mut buf = vec![0.0f32; s.cols * (j1 - j0)];
-                        spmm_transpose_range(s, n, dense, &mut buf, j0, j1);
-                        buf
-                    })
-                })
-                .collect();
-            for h in handles {
-                buffers.push(h.join().expect("spmm_transpose worker panicked"));
-            }
-        });
-        for (&(j0, j1), buf) in bands.iter().zip(buffers.iter()) {
-            let w = j1 - j0;
-            for c in 0..s.cols {
-                out[c * n + j0..c * n + j1].copy_from_slice(&buf[c * w..(c + 1) * w]);
-            }
-        }
-    }
+    let band = n.div_ceil(threads);
+    let out = BandOut(out.as_mut_ptr());
+    pool::run(n.div_ceil(band), |t| {
+        let (j0, j1) = (t * band, ((t + 1) * band).min(n));
+        // SAFETY: `out` holds `s.cols * n` floats (asserted) borrowed
+        // exclusively for this call, and band `t` alone covers columns
+        // `[j0, j1)`.
+        unsafe { spmm_transpose_range(s, n, dense, out.ptr(), j0, j1) }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1940,22 +1946,18 @@ fn axpy_range(alpha: f32, dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Splits equally sized `dst`/`src` into contiguous chunk pairs and runs
-/// `f(dst_chunk, src_chunk)` for each pair on its own scoped thread. The
+/// Splits equally sized `dst`/`src` into `threads` contiguous chunk pairs
+/// and runs `f(dst_chunk, src_chunk)` for each on the worker [`pool`]. The
 /// threaded driver of the elementwise kernels below; chunks are disjoint so
 /// element order within each chunk matches the serial loop exactly.
-#[cfg(feature = "parallel")]
 fn run_elementwise_chunks<F>(dst: &mut [f32], src: &[f32], threads: usize, f: F)
 where
     F: Fn(&mut [f32], &[f32]) + Sync,
 {
     debug_assert_eq!(dst.len(), src.len());
     let chunk = dst.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (d, s) in dst.chunks_mut(chunk).zip(src.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || f(d, s));
-        }
+    pool::for_each(pool::Chunks::new(dst, chunk), |ci, d| {
+        f(d, &src[ci * chunk..ci * chunk + d.len()])
     });
 }
 
@@ -1970,7 +1972,6 @@ pub fn axpy(alpha: f32, dst: &mut [f32], src: &[f32]) {
         axpy_range(alpha, dst, src);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_elementwise_chunks(dst, src, threads, |d, s| axpy_range(alpha, d, s));
 }
 
@@ -2031,7 +2032,6 @@ pub fn scale_add(beta: f32, dst: &mut [f32], src: &[f32]) {
         scale_add_range(beta, dst, src);
         return;
     }
-    #[cfg(feature = "parallel")]
     run_elementwise_chunks(dst, src, threads, |d, s| scale_add_range(beta, d, s));
 }
 

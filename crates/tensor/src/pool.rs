@@ -1,4 +1,8 @@
-//! Recyclable tensor storage.
+//! Pools: recyclable tensor storage ([`BufferPool`]) and the persistent
+//! worker pool behind every parallel fan-out ([`run`], [`for_each`]; its
+//! design is documented in `pool/fanout.rs`).
+//!
+//! # Recyclable tensor storage
 //!
 //! CDRIB trains for hundreds of epochs over a graph whose shape never
 //! changes, so every forward/backward pass requests exactly the same set of
@@ -21,6 +25,10 @@
 
 use crate::tensor::Tensor;
 use std::collections::HashMap;
+
+mod fanout;
+
+pub use fanout::{fanned_out_jobs, for_each, run, Chunks, Ranges, Split};
 
 /// Upper bound on retained buffers per size class; beyond it, returned
 /// storage is dropped. A training step never holds more than a few dozen

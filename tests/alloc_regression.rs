@@ -665,12 +665,14 @@ fn server_pipeline_steady_state() {
 
 #[test]
 fn warm_training_steps_are_allocation_free() {
-    // Pin the kernels to one thread before the first dispatch: scoped-thread
-    // spawns allocate, which would be misread as a pooling regression.
+    // Pin the kernels to one thread before the first dispatch: this binary
+    // holds the single-threaded configuration to zero allocations, and
+    // `tests/alloc_parallel.rs` holds the fanned-out one (four threads,
+    // work above the gate on the worker pool) to the same bar.
     std::env::set_var("CDRIB_NUM_THREADS", "1");
     let mut rng = component_rng(3, "alloc-regression");
     // Small shapes keep every kernel below the threading threshold, so the
-    // whole step runs inline on this thread (thread spawns allocate).
+    // whole step runs inline on this thread.
     let x = normal_tensor(&mut rng, 32, 16, 1.0);
     let mut targets = Tensor::zeros(32, 1);
     for (i, v) in targets.as_mut_slice().iter_mut().enumerate() {

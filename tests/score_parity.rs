@@ -2,8 +2,9 @@
 //!
 //! The evaluation protocol scores candidates through
 //! [`EmbeddingScorer::score_into`] — fused SIMD kernels
-//! (`score_candidates_dot` / `score_candidates_neg_sq_dist`) plus, behind
-//! the `parallel` feature, `std::thread::scope` chunking over cases. These
+//! (`score_candidates_dot` / `score_candidates_neg_sq_dist`); behind the
+//! `parallel` feature the protocol runs large case blocks as tasks on the
+//! persistent worker pool, each task one `score_into` call. These
 //! properties pin the batched path to the scalar [`EmbeddingScorer::pair_score`]
 //! reference within `1e-5` for both [`ScoreKind`]s, including empty item
 //! lists and single-row tables. The same file runs under

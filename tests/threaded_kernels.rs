@@ -6,7 +6,8 @@
 //! shape crosses the threshold and `CDRIB_NUM_THREADS=4` overrides the
 //! machine's core count (the override wins outright, so this works on a
 //! 1-core CI box too), exercising `run_row_chunks` for the row-parallel
-//! kernels and the private-buffer column-band split of `spmm_transpose`.
+//! kernels and the in-place column-band split of `spmm_transpose`, both on
+//! the persistent worker pool.
 //!
 //! This file is its own test binary, which matters: `parallelism()` caches
 //! the thread count on first use, so the env var must be set before any
@@ -53,9 +54,9 @@ fn forced_thread_count_is_in_effect() {
 #[test]
 fn threaded_dense_kernels_match_serial_references() {
     force_threads();
-    // 128 * 80 * 80 = 819_200 scalar multiply-adds, comfortably above
-    // PAR_MIN_FLOPS, with row counts that do not divide evenly by 4 threads.
-    let (m, k, n) = (129, 80, 81);
+    // 257 * 96 * 97 = 2_393_184 scalar multiply-adds, above PAR_MIN_FLOPS,
+    // with row counts that do not divide evenly by 4 threads.
+    let (m, k, n) = (257, 96, 97);
     assert!(m * k * n >= kernels::PAR_MIN_FLOPS);
     let a = pseudo_tensor(1, m, k);
     let b = pseudo_tensor(2, k, n);
@@ -82,7 +83,7 @@ fn threaded_dense_kernels_match_serial_references() {
 #[test]
 fn threaded_spmm_kernels_match_serial_references() {
     force_threads();
-    let (rows, cols, n) = (311, 157, 192);
+    let (rows, cols, n) = (1031, 157, 192);
     let mut state = 99u64;
     let triplets: Vec<(usize, usize, f32)> = (0..rows * 12)
         .map(|_| {
@@ -105,8 +106,7 @@ fn threaded_spmm_kernels_match_serial_references() {
         "threaded spmm",
     );
 
-    // n = 192 >= 2 * MIN_BAND(64): the column-band split with private
-    // buffers and copy-back actually runs.
+    // n = 192 >= 2 * MIN_BAND(64): the column-band split actually runs.
     let dense_t = pseudo_tensor(6, rows, n);
     assert_close(
         &csr.spmm_transpose(&dense_t).unwrap(),
